@@ -11,8 +11,8 @@
 //    deep-queue config — dominated by high-watermark drain windows, the
 //    regime the analytic write-drain phase replays in closed form;
 //  * multi-channel throughput: the milc workload on the same 4x4 config
-//    widened to 4 channels (serial advance, run_threads=1) — tracks the
-//    per-channel due caches and the windowed channel advance;
+//    widened to 4 channels — tracks the per-channel due caches and the
+//    windowed channel advance;
 //  * sharded tile-runtime throughput: the multi-channel workload pushed
 //    through the shard-per-thread tile topology (DESIGN.md §14) — tracks the
 //    SPSC ring hand-off, the per-channel clock advance, and the
@@ -147,12 +147,11 @@ int main(int argc, char** argv) {
       static_cast<double>(ops) * runs / wd_secs;
 
   // Multi-channel throughput: the end-to-end workload spread over four
-  // channels, serial advance — time here is dominated by how cheaply the
-  // system skips not-due channels.
+  // channels — time here is dominated by how cheaply the system skips
+  // not-due channels.
   sys::SystemConfig mc_cfg = sys::fgnvm_config(4, 4);
   mc_cfg.geometry.channels = 4;
   mc_cfg.geometry.validate();
-  mc_cfg.run_threads = 1;
   (void)sim::run_workload(tr, mc_cfg);  // warm-up
   const auto tm = clock::now();
   for (int i = 0; i < runs; ++i) {

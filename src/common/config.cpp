@@ -101,6 +101,13 @@ std::uint64_t Config::get_u64(const std::string& key,
   const auto v = find(key);
   if (!v) return dflt;
   try {
+    // std::stoull accepts a leading '-' (after whitespace) and wraps the
+    // negated value, so "-1" would parse as 2^64 - 1.
+    const auto first = std::find_if_not(
+        v->begin(), v->end(), [](unsigned char c) { return std::isspace(c); });
+    if (first != v->end() && *first == '-') {
+      throw std::invalid_argument("negative");
+    }
     std::size_t pos = 0;
     const std::uint64_t parsed = std::stoull(*v, &pos, 0);
     if (pos != v->size()) throw std::invalid_argument("trailing chars");

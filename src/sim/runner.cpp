@@ -52,6 +52,41 @@ RunResult finalize(const std::string& workload, sys::MemorySystem& mem,
   return r;
 }
 
+/// The deadlock guard shared by every loop: names the loop, the workload
+/// and config, the cycle, and per channel its next event and queue
+/// occupancy, so a run that stops making progress reports where it stalled.
+[[noreturn]] void throw_cycle_limit(const char* loop,
+                                    const std::string& workload,
+                                    const sys::MemorySystem& mem, Cycle t) {
+  std::ostringstream os;
+  os << loop << ": exceeded max_mem_cycles at cycle " << t << " on "
+     << workload << " / " << mem.config().name;
+  for (std::uint64_t ch = 0; ch < mem.channels(); ++ch) {
+    const sched::ControllerBase& c = mem.channel(ch);
+    const Cycle next = c.next_event(t);
+    os << "; ch" << ch << " next_event=";
+    if (next == kNeverCycle) {
+      os << "never";
+    } else {
+      os << next;
+    }
+    os << " pending_reads=" << c.pending_reads()
+       << " write_queue=" << c.write_queue().size();
+    if (c.write_queue().draining()) os << " draining";
+  }
+  throw std::runtime_error(os.str());
+}
+
+/// Workload label of a multiprogrammed run for the deadlock guard.
+std::string mix_name(const std::vector<trace::RecordSource*>& sources) {
+  if (sources.empty()) return "(no cores)";
+  std::string name = sources[0]->name();
+  if (sources.size() > 1) {
+    name += " + " + std::to_string(sources.size() - 1) + " more";
+  }
+  return name;
+}
+
 bool paranoid_mode() {
   const char* env = std::getenv("FGNVM_PARANOID");
   return env != nullptr && env[0] != '\0' &&
@@ -220,8 +255,7 @@ RunResult run_workload_loop(trace::RecordSource& source,
   Cycle t = 0;
   while (!core.finished() || !mem.idle()) {
     if (t >= max_mem_cycles) {
-      throw std::runtime_error("run_workload: exceeded max_mem_cycles on " +
-                               source.name() + " / " + mem.config().name);
+      throw_cycle_limit("run_workload", source.name(), mem, t);
     }
     mem.drain_completed(done);
     core.complete(done);
@@ -364,8 +398,8 @@ MultiProgramResult run_multiprogrammed_loop(
     Cycle t = 0;
     while (!all_finished() || !mem.idle()) {
       if (t >= max_mem_cycles) {
-        throw std::runtime_error(
-            "run_multiprogrammed: exceeded max_mem_cycles");
+        throw_cycle_limit("run_multiprogrammed (cycle-accurate)",
+                          mix_name(sources), mem, t);
       }
       if (route_completions()) {
         for (std::size_t i = 0; i < cores.size(); ++i) {
@@ -441,8 +475,8 @@ MultiProgramResult run_multiprogrammed_loop(
     Cycle t = 0;
     while (unfinished > 0 || !mem.idle()) {
       if (t >= max_mem_cycles) {
-        throw std::runtime_error(
-            "run_multiprogrammed: exceeded max_mem_cycles");
+        throw_cycle_limit("run_multiprogrammed (wake calendar)",
+                          mix_name(sources), mem, t);
       }
       route_completions();
       woken_list.clear();
@@ -560,7 +594,8 @@ MultiProgramResult run_multiprogrammed_loop(
   Cycle t = 0;
   while (unfinished > 0 || !mem.idle()) {
     if (t >= max_mem_cycles) {
-      throw std::runtime_error("run_multiprogrammed: exceeded max_mem_cycles");
+      throw_cycle_limit("run_multiprogrammed (full scan)", mix_name(sources),
+                        mem, t);
     }
     const bool delivered = route_completions();
     for (std::size_t i = 0; i < n; ++i) {
@@ -664,8 +699,7 @@ RunResult run_memory_only_loop(trace::RecordSource& source,
   Cycle t = 0;
   while (pending || !mem.idle()) {
     if (t >= max_mem_cycles) {
-      throw std::runtime_error("run_memory_only: exceeded max_mem_cycles on " +
-                               source.name() + " / " + mem.config().name);
+      throw_cycle_limit("run_memory_only", source.name(), mem, t);
     }
     mem.drain_completed(done);
     while (pending && mem.can_accept(rec.addr, rec.op)) {

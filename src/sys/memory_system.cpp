@@ -1,49 +1,11 @@
 #include "sys/memory_system.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "common/log.hpp"
 #include "dram/dram_bank.hpp"
 #include "nvm/fgnvm_bank.hpp"
 
 namespace fgnvm::sys {
-
-std::uint64_t effective_run_threads(std::uint64_t configured) {
-  std::uint64_t v = configured;
-  const char* what = "run_threads";
-  if (const char* env = std::getenv("FGNVM_RUN_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || parsed <= 0) {
-      log_warn("FGNVM_RUN_THREADS='", env,
-               "' is not a positive integer; using run_threads=", configured);
-    } else {
-      v = static_cast<std::uint64_t>(parsed);
-      what = "FGNVM_RUN_THREADS";
-    }
-  }
-  return sim::clamp_thread_count(v, what);
-}
-
-namespace {
-
-/// `configured` (the tile_backend config key) with the FGNVM_TILE_BACKEND
-/// environment override applied ("1"/"0"; anything else warns and keeps the
-/// configured value). The env route lets the fig4/fig5 and ablation bench
-/// drivers run on the tile backend without per-driver config plumbing.
-bool effective_tile_backend(bool configured) {
-  if (const char* env = std::getenv("FGNVM_TILE_BACKEND")) {
-    const std::string v(env);
-    if (v == "1") return true;
-    if (v == "0") return false;
-    log_warn("FGNVM_TILE_BACKEND='", env,
-             "' is not 0 or 1; using tile_backend=", configured);
-  }
-  return configured;
-}
-
-}  // namespace
 
 SystemConfig SystemConfig::from_config(const Config& cfg) {
   SystemConfig sc;
@@ -69,8 +31,6 @@ SystemConfig SystemConfig::from_config(const Config& cfg) {
   sc.modes.background_writes =
       cfg.get_bool("background_writes", sc.modes.background_writes);
   sc.obs = obs::ObsConfig::from_config(cfg);
-  sc.run_threads = cfg.get_u64("run_threads", sc.run_threads);
-  sc.tile_backend = cfg.get_bool("tile_backend", sc.tile_backend);
   return sc;
 }
 
@@ -126,20 +86,6 @@ MemorySystem::MemorySystem(const SystemConfig& cfg,
   maybe_completed_.assign(channels_.size(), 0);
   min_due_ = 0;
   update_lazy();
-  const std::uint64_t threads = effective_run_threads(cfg_.run_threads);
-  if (threads > 1 && channels_.size() > 1) {
-    const unsigned lanes = static_cast<unsigned>(
-        std::min<std::uint64_t>(threads, channels_.size()));
-    if (effective_tile_backend(cfg_.tile_backend)) {
-      tile_pool_ = std::make_unique<TileAdvancePool>(
-          lanes, channels_.size(), [this](std::uint32_t ch, Cycle horizon) {
-            due_[ch] = channels_[ch]->advance_to(due_[ch], horizon);
-          });
-    } else {
-      pool_ = std::make_unique<sim::SweepRunner>(lanes);
-    }
-  }
-  scratch_due_.reserve(channels_.size());
 }
 
 void MemorySystem::set_eager_ticking(bool eager) {
@@ -275,30 +221,16 @@ Cycle MemorySystem::accept_event(Addr addr) const {
 }
 
 void MemorySystem::advance_channels_to(Cycle horizon) {
-  scratch_due_.clear();
+  // Channels share no mutable state (per-channel banks, bus, stats; the
+  // observer is off under lazy scheduling), so each advances its own event
+  // chain independently and buffers its completions for the next drain.
   const std::uint64_t n = channels_.size();
   for (std::uint64_t ch = 0; ch < n; ++ch) {
-    if (due_[ch] < horizon) scratch_due_.push_back(static_cast<std::uint32_t>(ch));
+    if (due_[ch] < horizon) {
+      due_[ch] = channels_[ch]->advance_to(due_[ch], horizon);
+      maybe_completed_[ch] = 1;
+    }
   }
-  const std::size_t due_count = scratch_due_.size();
-  const auto advance_one = [&](std::size_t i) {
-    const std::uint32_t ch = scratch_due_[i];
-    // Channels share no mutable state (per-channel banks, bus, stats; the
-    // observer is off under lazy scheduling), so each advances its own
-    // event chain independently; due_ slots are index-disjoint.
-    due_[ch] = channels_[ch]->advance_to(due_[ch], horizon);
-  };
-  if (tile_pool_ && due_count >= 2) {
-    // Tile backend: the pool's job is the same per-channel advance; the
-    // lambda above is bypassed only because ownership (ch % lanes) is
-    // decided inside the pool.
-    tile_pool_->advance(scratch_due_, horizon);
-  } else if (pool_ && due_count >= 2) {
-    pool_->for_each(due_count, advance_one);
-  } else {
-    for (std::size_t i = 0; i < due_count; ++i) advance_one(i);
-  }
-  for (const std::uint32_t ch : scratch_due_) maybe_completed_[ch] = 1;
   recompute_min_due();
 }
 

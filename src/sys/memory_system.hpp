@@ -9,9 +9,7 @@
 // answers next_event() from the cached minimum, and drains completions only
 // from flagged channels — idle channels are never touched. On top of the
 // lazy clocks, advance_channels_to() runs due channels to a caller-supplied
-// horizon, optionally in parallel (run_threads config key / the
-// FGNVM_RUN_THREADS environment variable), with results byte-identical at
-// any thread count.
+// horizon.
 //
 // The driver-facing methods are virtual so HybridMemorySystem (DESIGN.md
 // §13) can interpose routing and its migration engine behind the same API;
@@ -25,14 +23,12 @@
 
 #include "common/config.hpp"
 #include "common/stats.hpp"
-#include "common/sweep.hpp"
 #include "common/types.hpp"
 #include "mem/geometry.hpp"
 #include "mem/timing.hpp"
 #include "nvm/energy.hpp"
 #include "obs/observer.hpp"
 #include "sched/controller.hpp"
-#include "sys/tile_pool.hpp"
 
 namespace fgnvm::sys {
 
@@ -53,17 +49,6 @@ struct SystemConfig {
   sched::ControllerConfig controller;
   nvm::EnergyParams energy;
   obs::ObsConfig obs;
-  /// Threads for advance_channels_to (single-run channel-level parallelism).
-  /// 1 = serial; capped by the channel count in effect. Overridden by the
-  /// FGNVM_RUN_THREADS environment variable.
-  std::uint64_t run_threads = 1;
-  /// Routes advance_channels_to through the tile runtime's ring-fed worker
-  /// pool (sys::TileAdvancePool) instead of the mutex/condvar SweepRunner.
-  /// Results are byte-identical either way (FGNVM_PARANOID-checked); the
-  /// tile backend trades wakeup latency for spin cycles. Only engages with
-  /// run_threads > 1 and 2+ channels. Key: tile_backend; overridden by the
-  /// FGNVM_TILE_BACKEND environment variable (1/0).
-  bool tile_backend = false;
 
   /// Builds from a flat Config; see individual from_config methods for keys.
   /// Access-mode keys: partial_activation, multi_activation,
@@ -81,13 +66,6 @@ std::unique_ptr<sched::ControllerBase> make_channel_controller(
     const mem::TimingParams& timing, const sched::ControllerConfig& controller,
     const nvm::AccessModes& modes);
 
-/// `configured` (the run_threads config key) with the FGNVM_RUN_THREADS
-/// environment override applied, validated via sim::clamp_thread_count:
-/// non-numeric or non-positive env values warn and fall back to the
-/// configured value; 0 and values above 4x hardware_concurrency warn and
-/// clamp. Exposed for the tile runtime's shard count and for tests.
-std::uint64_t effective_run_threads(std::uint64_t configured);
-
 class MemorySystem {
  public:
   explicit MemorySystem(const SystemConfig& cfg);
@@ -98,13 +76,10 @@ class MemorySystem {
   const SystemConfig& config() const { return cfg_; }
   const mem::AddressDecoder& decoder() const { return decoder_; }
   std::uint64_t channels() const { return channels_.size(); }
-  /// Worker threads advance_channels_to uses (1 = serial).
-  unsigned run_threads() const {
-    if (tile_pool_) return tile_pool_->threads();
-    return pool_ ? pool_->threads() : 1;
+  /// Read-only view of one channel's controller, for diagnostics.
+  const sched::ControllerBase& channel(std::uint64_t ch) const {
+    return *channels_[ch];
   }
-  /// True when the tile-runtime advance pool is active (tile_backend).
-  bool tile_backend_active() const { return tile_pool_ != nullptr; }
 
   /// Backpressure check for the channel that `addr` maps to.
   virtual bool can_accept(Addr addr, OpType op) const;
@@ -152,11 +127,9 @@ class MemorySystem {
   virtual Cycle accept_event(Addr addr) const;
 
   /// Runs every channel with due < horizon along its own event chain up to
-  /// the horizon (Controller::advance_to), in parallel when a run-thread
-  /// pool is active and 2+ channels are due. Completions buffer per channel
-  /// and drain in channel order afterwards, so results are byte-identical
-  /// to the serial schedule at any thread count. The caller must guarantee
-  /// no submissions or drains are needed before the horizon (see
+  /// the horizon (Controller::advance_to). Completions buffer per channel
+  /// and drain in channel order afterwards. The caller must guarantee no
+  /// submissions or drains are needed before the horizon (see
   /// completion_bound / accept_event). Requires lazy_scheduling().
   void advance_channels_to(Cycle horizon);
 
@@ -201,8 +174,8 @@ class MemorySystem {
   /// One heterogeneous channel appended after the cfg.geometry.channels
   /// primary channels. HybridMemorySystem uses this for its DRAM partition:
   /// the extra channel plugs into the same due/drain/advance machinery (the
-  /// observer, due caches and thread pool are sized to the full channel
-  /// count at construction), but carries its own single-channel geometry,
+  /// observer and due caches are sized to the full channel count at
+  /// construction), but carries its own single-channel geometry,
   /// timing and controller configuration.
   struct ExtraChannel {
     BankKind kind = BankKind::kDram;
@@ -259,9 +232,6 @@ class MemorySystem {
   Cycle min_due_ = 0;
   bool eager_ = false;
   bool lazy_ = true;
-  std::unique_ptr<sim::SweepRunner> pool_;  // null = serial advance
-  std::unique_ptr<TileAdvancePool> tile_pool_;  // tile_backend alternative
-  std::vector<std::uint32_t> scratch_due_;  // channels due this advance
 };
 
 }  // namespace fgnvm::sys

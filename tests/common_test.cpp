@@ -225,6 +225,25 @@ TEST(Config, RejectsMalformed) {
   EXPECT_THROW(cfg.get_bool("k", false), std::runtime_error);
 }
 
+TEST(Config, RejectsNegativeIntegers) {
+  // Unsigned keys (channels, watermarks, queue caps) must not wrap a
+  // negative value into a huge one.
+  Config cfg;
+  for (const char* v : {"-1", "-0x10", " -3"}) {
+    cfg.set("k", v);
+    try {
+      (void)cfg.get_u64("k", 0);
+      ADD_FAILURE() << "accepted '" << v << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("is not an integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(Config::from_string("k = -1\n").get_u64("k", 0),
+               std::runtime_error);
+}
+
 TEST(Config, LaterAssignmentWinsAndMerge) {
   auto cfg = Config::from_string("k = 1\nk = 2\n");
   EXPECT_EQ(cfg.get_u64("k", 0), 2u);

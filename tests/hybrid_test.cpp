@@ -9,8 +9,8 @@
 //                        common::Config parse/serialize; invalid values are
 //                        rejected; the hybrid_config preset is well-formed.
 // 3. HybridEquiv       — the migration engine stays bit-identical across
-//                        all three LoopModes and thread counts (the §9/§12
-//                        contract extended to injected migration traffic).
+//                        all three LoopModes (the §9/§12 contract
+//                        extended to injected migration traffic).
 // 4. HybridFuzz        — randomized workloads x randomized hybrid shapes
 //                        through both loops, checking equivalence and the
 //                        migration-traffic conservation invariants.
@@ -350,11 +350,7 @@ std::vector<NamedHybrid> hybrid_configs() {
   ch2.name = "hybrid_ch2";
   ch2.cfg.nvm.geometry.channels = 2;
   ch2.cfg.nvm.geometry.validate();
-
-  NamedHybrid ch2_mt = ch2;
-  ch2_mt.name = "hybrid_ch2_mt";
-  ch2_mt.cfg.nvm.run_threads = 4;  // parallel channel advance (3 channels)
-  return {base, ch2, ch2_mt};
+  return {base, ch2};
 }
 
 class HybridEquiv : public ::testing::TestWithParam<std::string> {
@@ -411,25 +407,9 @@ TEST_P(HybridEquiv, RunMultiprogrammedBitIdentical) {
   }
 }
 
-TEST(HybridEquivThreads, ThreadCountInvariance) {
-  // Byte-identical results at 1, 2 and 4 worker threads (event-skip loop).
-  const trace::Trace tr = trace::generate_trace(hot_profile(), 1500);
-  sys::HybridSystemConfig cfg = hybrid_configs()[1].cfg;  // 2 NVM channels
-  cfg.nvm.run_threads = 1;
-  const sim::RunResult serial =
-      sim::run_memory_only(tr, cfg, 500'000'000, sim::LoopMode::kEventSkip);
-  EXPECT_GT(serial.controller.counter("hybrid_migrations"), 0u);
-  for (const std::uint64_t threads : {2u, 4u}) {
-    cfg.nvm.run_threads = threads;
-    const sim::RunResult mt =
-        sim::run_memory_only(tr, cfg, 500'000'000, sim::LoopMode::kEventSkip);
-    EXPECT_EQ(sim::diff_results(serial, mt), "") << threads << " threads";
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Presets, HybridEquiv,
-    ::testing::Values("hybrid", "hybrid_ch2", "hybrid_ch2_mt"),
+    ::testing::Values("hybrid", "hybrid_ch2"),
     [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------- fuzz

@@ -198,5 +198,38 @@ TEST(Integration, DeadlockGuardFires) {
                std::runtime_error);
 }
 
+TEST(Integration, DeadlockGuardReportsConfigAndChannels) {
+  // Every loop's guard names the config, the cycle and each channel's state.
+  const trace::Trace tr = small_trace("mcf", 2000);
+  sys::SystemConfig cfg = sys::fgnvm_config(4, 4);
+  cfg.geometry.channels = 2;
+  cfg.geometry.validate();
+  const auto expect_report = [&](const auto& run, const char* what) {
+    try {
+      run();
+      ADD_FAILURE() << what << ": guard did not fire";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("exceeded max_mem_cycles at cycle"),
+                std::string::npos) << what << ": " << msg;
+      EXPECT_NE(msg.find(cfg.name), std::string::npos) << what << ": " << msg;
+      EXPECT_NE(msg.find("ch0 next_event="), std::string::npos)
+          << what << ": " << msg;
+      EXPECT_NE(msg.find("ch1 next_event="), std::string::npos)
+          << what << ": " << msg;
+    }
+  };
+  for (const LoopMode mode : {LoopMode::kCycleAccurate, LoopMode::kEventSkip}) {
+    expect_report([&] { run_workload(tr, cfg, {}, 10, mode); },
+                  "run_workload");
+    expect_report([&] { run_memory_only(tr, cfg, 10, mode); },
+                  "run_memory_only");
+    expect_report(
+        [&] { run_multiprogrammed(std::vector<trace::Trace>{tr, tr}, cfg, {},
+                                  10, mode); },
+        "run_multiprogrammed");
+  }
+}
+
 }  // namespace
 }  // namespace fgnvm::sim

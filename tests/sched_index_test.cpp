@@ -173,9 +173,9 @@ INSTANTIATE_TEST_SUITE_P(Differential, SchedIndexTest,
 
 // ---------------------------------------------------------------------------
 // MemorySystem-level differential: the lazy per-channel due caches (and the
-// windowed advance_channels_to on top of them, serial and threaded) must
-// yield the same simulation as eager all-channel ticking over a random
-// multi-channel stream. Arrivals are pre-scheduled so every mode is offered
+// windowed advance_channels_to on top of them) must yield the same
+// simulation as eager all-channel ticking over a random multi-channel
+// stream. Arrivals are pre-scheduled so every mode is offered
 // the identical stream no matter how it advances time; a request is then
 // submitted at the first visited cycle at/after its arrival where the
 // channel accepts — which is the same cycle in every mode, because
@@ -265,8 +265,6 @@ TEST(MemorySystemDifferential, LazyAndWindowedMatchEagerAcrossChannels) {
     cfg.geometry.channels = 4;
     cfg.geometry.validate();
     for (const std::uint64_t seed : {11ull, 12ull}) {
-      sys::SystemConfig threaded = cfg;
-      threaded.run_threads = 4;
       const sys::MemorySystem probe(cfg);
       const std::vector<Arrival> plan = plan_arrivals(probe, 500, seed);
       const std::string eager = run_system(cfg, true, false, plan);
@@ -275,8 +273,6 @@ TEST(MemorySystemDifferential, LazyAndWindowedMatchEagerAcrossChannels) {
           << cfg.name << " lazy seed " << seed;
       EXPECT_EQ(eager, run_system(cfg, false, true, plan))
           << cfg.name << " windowed seed " << seed;
-      EXPECT_EQ(eager, run_system(threaded, false, true, plan))
-          << cfg.name << " threaded seed " << seed;
     }
   }
 }

@@ -273,7 +273,6 @@ TEST(WakeCalendarDifferential, ManyCoreSkipIdentity) {
   sys::SystemConfig cfg = sys::fgnvm_config(4, 4);
   cfg.geometry.channels = 4;
   cfg.geometry.validate();
-  cfg.run_threads = 1;
   for (const std::size_t cores : {256u, 1024u}) {
     const auto traces =
         mixed_traces(cores, 48, /*mpki=*/25.6 / static_cast<double>(cores));
